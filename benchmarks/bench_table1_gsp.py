@@ -12,7 +12,6 @@ The reproduced number is the mean per-sentence evaluation time over a
 sample of (query, sentence) pairs; the benchmark's value is the total
 loop, and ``extra_info["ms_per_sentence"]`` holds the Table-1 number.
 """
-import pandas as pd
 import pytest
 
 from repro.bench import synthetic_span
@@ -23,14 +22,6 @@ N_PAIRS = 24         # (query, candidate-sentence) pairs per setting
 N_SENT_POOL = 80     # sentences scanned when pairing
 
 
-def _sentences(tokens, n):
-    pdf = tokens.toPandas()
-    sids = sorted(pdf.sid.unique())[:n]
-    return [
-        evaluate.Sentence.from_pandas(pdf[pdf.sid == s]) for s in sids
-    ]
-
-
 def _matching_pairs(tokens, n_atoms):
     """(nq, sentence) pairs where every non-elastic atom has candidates —
     the post-DPLI regime Table 1 measures ("evaluation over extract clause
@@ -39,7 +30,7 @@ def _matching_pairs(tokens, n_atoms):
         q for q in synthetic_span.benchmark(tokens, per_setting=60, seed=0)
         if q.n_atoms == n_atoms
     ]
-    sents = _sentences(tokens, N_SENT_POOL)
+    sents = evaluate.sentences(tokens.toPandas())[:N_SENT_POOL]
     pairs = []
     for q in qs:
         nq = normalize.normalize(q.query())

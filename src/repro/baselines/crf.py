@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import pandas as pd
 
+from ..koko.evaluate import Sentence, sentences
+
 TAGS = ("O", "B", "I")
 _T2I = {t: i for i, t in enumerate(TAGS)}
 
@@ -128,12 +130,11 @@ class PerceptronCRF:
             self.trans[k] -= self._acc_t[k] / self._steps
 
 
-def _bio_of(sent: pd.DataFrame, gold_names: set[str]) -> list[str]:
-    tags = ["O"] * len(sent)
-    rows = sent.reset_index(drop=True)
-    for i, r in rows.iterrows():
-        if pd.notna(r.etype) and r.ent_text in gold_names:
-            tags[i] = "B" if r.tid == r.ent_lo else "I"
+def _bio_of(sent: Sentence, gold_names: set[str]) -> list[str]:
+    tags = ["O"] * sent.t
+    for lo, hi, _, text in sent.entities:
+        if text in gold_names:
+            tags[lo : hi + 1] = ["B"] + ["I"] * (hi - lo)
     return tags
 
 
@@ -156,20 +157,19 @@ def train_and_predict(
     n_train = int(len(doc_ids) * train_frac)
     train_docs = set(doc_ids[:n_train])
     gold_by_doc: dict[int, set[str]] = defaultdict(set)
-    for _, r in gold.iterrows():
-        gold_by_doc[int(r.doc_id)].add(r.entity)
+    for doc_id, entity in zip(gold["doc_id"], gold["entity"]):
+        gold_by_doc[int(doc_id)].add(entity)
 
     train_sents = []
     test_sents = []
-    for (doc_id, _sid), sent in tokens_pdf.groupby(["doc_id", "sid"]):
-        sent = sent.sort_values("tid")
-        toks = list(sent["token"])
+    for sent in sentences(tokens_pdf):
+        toks = sent.tokens
         feats = [features(toks, i) for i in range(len(toks))]
-        if doc_id in train_docs:
-            tags = _bio_of(sent, gold_by_doc.get(int(doc_id), set()))
+        if sent.doc_id in train_docs:
+            tags = _bio_of(sent, gold_by_doc.get(sent.doc_id, set()))
             train_sents.append((feats, tags))
         else:
-            test_sents.append((int(doc_id), toks, feats))
+            test_sents.append((sent.doc_id, toks, feats))
 
     model = PerceptronCRF()
     model.train(train_sents, epochs=epochs, seed=seed)

@@ -15,6 +15,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import types as T
 
+from ..koko.evaluate import sentences
 from ..nlp import embeddings
 
 # (side, phrase): side 'left' = pattern precedes the NP, 'right' = follows.
@@ -71,12 +72,9 @@ def extract(
 
     def run_doc(pdf: pd.DataFrame) -> pd.DataFrame:
         rows = []
-        for _, sent in pdf.groupby("sid"):
-            sent = sent.sort_values("tid")
-            toks = list(sent["token"])
-            ents = sent[sent.etype.notna() & (sent.tid == sent.ent_lo)]
-            for _, e in ents.iterrows():
-                lo, hi = int(e.ent_lo), int(e.ent_hi)
+        for sent in sentences(pdf):
+            toks = sent.tokens
+            for lo, hi, _, text in sent.entities:
                 for side, exps in expanded:
                     # IKE patterns are (near-)adjacent sequence slots: look
                     # at a short window next to the NP, not the whole
@@ -87,9 +85,7 @@ def extract(
                         else toks[hi + 1 : hi + 8]
                     )
                     if any(_occurs_in(x, window) for x in exps):
-                        rows.append(
-                            {"doc_id": int(e.doc_id), "entity": e.ent_text}
-                        )
+                        rows.append({"doc_id": sent.doc_id, "entity": text})
                         break
         return pd.DataFrame(rows, columns=["doc_id", "entity"])
 

@@ -15,20 +15,19 @@ from collections import defaultdict
 
 import pandas as pd
 
+from ..koko.evaluate import sentences
+
 
 def _mention_contexts(tokens_pdf: pd.DataFrame) -> pd.DataFrame:
     """One row per entity mention with its (prev, next) token context."""
     rows = []
-    for _sid, sent in tokens_pdf.groupby("sid"):
-        sent = sent.sort_values("tid")
-        toks = list(sent["token"])
-        ents = sent[sent.etype.notna() & (sent.tid == sent.ent_lo)]
-        for _, e in ents.iterrows():
-            lo, hi = int(e.ent_lo), int(e.ent_hi)
+    for sent in sentences(tokens_pdf):
+        toks = sent.tokens
+        for lo, hi, _, text in sent.entities:
             rows.append(
                 {
-                    "doc_id": int(e.doc_id),
-                    "entity": e.ent_text,
+                    "doc_id": sent.doc_id,
+                    "entity": text,
                     "prev": toks[lo - 1] if lo > 0 else "<s>",
                     "next": toks[hi + 1] if hi + 1 < len(toks) else "</s>",
                 }
@@ -54,19 +53,21 @@ def extract(
     """
     ctx = _mention_contexts(tokens_pdf)
     mention_counts = ctx.entity.value_counts()
+    mentions = list(zip(ctx["entity"], ctx["prev"], ctx["next"]))
     known = set(seeds)
     promoted: set[tuple[str, str]] = set()
     for _ in range(rounds):
         support: dict[tuple[str, str], set[str]] = defaultdict(set)
-        for _, r in ctx[ctx.entity.isin(known)].iterrows():
-            support[(r["prev"], r["next"])].add(r.entity)
+        for e, p, n in mentions:
+            if e in known:
+                support[(p, n)].add(e)
         promoted |= {p for p, s in support.items() if len(s) >= min_support}
         if not promoted:
             break
         hits: dict[str, set[tuple[str, str]]] = defaultdict(set)
-        for _, r in ctx.iterrows():
-            if (r["prev"], r["next"]) in promoted:
-                hits[r.entity].add((r["prev"], r["next"]))
+        for e, p, n in mentions:
+            if (p, n) in promoted:
+                hits[e].add((p, n))
         known |= {
             e
             for e, ps in hits.items()

@@ -54,6 +54,11 @@ def resolve_template(
     tpl: Template, rng: np.random.Generator, doc_id: int, sent_idx: int
 ) -> list[dict]:
     """Fill a template's slots and compute all tree metadata → row dicts."""
+    if sent_idx >= SENTS_PER_DOC:
+        raise ValueError(
+            f"sentence index {sent_idx} >= SENTS_PER_DOC ({SENTS_PER_DOC}) "
+            "would run into the next document's sids"
+        )
     words = [
         POOLS[t.word][int(rng.integers(len(POOLS[t.word])))] if t.word.startswith("$") else t.word
         for t in tpl.tokens

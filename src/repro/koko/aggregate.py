@@ -18,9 +18,12 @@ Descriptor confidence per sentence follows §4.4.1 exactly:
 expanded phrase occurs (in order, gaps allowed) in the canonical clause,
 restricted to the side of the mention the condition names.
 
-Evaluation is distributed per document via ``applyInPandas``; candidate
-values are broadcast in the UDF closure (they are small — distinct
-extraction values).
+The string-level conditions, the weighted sum and the threshold are
+computed in the driver. Only a clause with evidence conditions starts a
+Spark job: one ``applyInPandas`` call per candidate document builds the
+document's sentences once (``evaluate.sentences``) and returns the
+evidence m_i of each of its candidate values, which ride in the UDF
+closure (they are small — distinct extraction values).
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from pyspark.sql import types as T
 from ..corpus import vocab
 from ..nlp import decompose, embeddings
 from .ast import SatCond, Satisfying
-from .evaluate import emitted_vars
+from .evaluate import Sentence, sentences, token_occurrences
 from .normalize import NormQuery
 
 DICTIONARIES: dict[str, set[str]] = {
@@ -80,40 +83,28 @@ def _string_level(cond: SatCond, value: str) -> float | None:
     return None
 
 
-def _mentions(sent: pd.DataFrame, value: str) -> list[tuple[int, int]]:
+def _mentions(sent: Sentence, value: str) -> list[tuple[int, int]]:
     """Token spans where ``value`` is mentioned in this sentence: entity
     spans with that text, else literal token-sequence occurrences."""
-    spans = [
-        (int(r.ent_lo), int(r.ent_hi))
-        for _, r in sent[(sent.ent_text == value) & (sent.tid == sent.ent_lo)].iterrows()
-    ]
-    if spans:
-        return spans
-    toks = list(sent.token)
-    vt = _tokenize(value)
-    return [
-        (i, i + len(vt) - 1)
-        for i in range(len(toks) - len(vt) + 1)
-        if toks[i : i + len(vt)] == vt
-    ]
+    spans = [(lo, hi) for lo, hi, _, text in sent.entities if text == value]
+    return spans or token_occurrences(sent, tuple(_tokenize(value)))
 
 
 def _descriptor_conf(
-    sent: pd.DataFrame, span: tuple[int, int], cond: SatCond
+    sent: Sentence,
+    clauses: list[tuple[list[int], float]],
+    span: tuple[int, int],
+    cond: SatCond,
 ) -> float:
-    side = "right" if cond.kind == "desc_right" else "left"
-    toks = list(sent.token)
-    heads = list(sent["head"])
-    labels = list(sent.label)
+    """§4.4.1 confidence of one mention ``span`` over the sentence's
+    canonical ``clauses`` (``decompose.clauses`` of the sentence)."""
     lo, hi = span
+    keep = (lambda i: i > hi) if cond.kind == "desc_right" else (lambda i: i < lo)
+    windows = [([sent.tokens[i] for i in tids if keep(i)], l_j) for tids, l_j in clauses]
     best = 0.0
     for phrase, k_i in _expanded(cond.arg):
         total = 0.0
-        for tids, l_j in decompose.clauses(heads, labels):
-            if side == "right":
-                window = [toks[i] for i in tids if i > hi]
-            else:
-                window = [toks[i] for i in tids if i < lo]
+        for window, l_j in windows:
             if window and _occurs(phrase, window):
                 total += k_i * l_j
         best = max(best, total)
@@ -121,44 +112,38 @@ def _descriptor_conf(
 
 
 def _evidence_scores(
-    doc: pd.DataFrame, values: list[str], conds: list[SatCond]
+    sents: list[Sentence], values: list[str], conds: list[SatCond]
 ) -> dict[str, list[float]]:
-    """m_i(e) per value for the corpus-scanning conditions of one clause."""
+    """m_i(e) per value for the evidence conditions of one clause, over the
+    sentences of one document."""
+    args = [tuple(_tokenize(c.arg)) for c in conds]
     out = {v: [0.0] * len(conds) for v in values}
-    for _, sent in doc.groupby("sid"):
-        sent = sent.sort_values("tid")
-        toks = list(sent.token)
+    for sent in sents:
+        toks = sent.tokens
+        clauses = None  # decomposed once, for the first descriptor that needs it
         for v in values:
             spans = _mentions(sent, v)
             if not spans:
                 continue
-            for ci, cond in enumerate(conds):
-                if cond.kind in ("follows", "precedes"):
-                    arg = _tokenize(cond.arg)
-                    hit = any(
-                        (
-                            toks[hi + 1 : hi + 1 + len(arg)] == arg
-                            if cond.kind == "follows"
-                            else toks[max(0, lo - len(arg)) : lo] == arg
-                        )
-                        for lo, hi in spans
-                    )
-                    if hit:
+            for ci, (cond, arg) in enumerate(zip(conds, args)):
+                n = len(arg)
+                if cond.kind == "follows":
+                    if any(tuple(toks[hi + 1 : hi + 1 + n]) == arg for _, hi in spans):
+                        out[v][ci] = 1.0
+                elif cond.kind == "precedes":
+                    if any(tuple(toks[max(0, lo - n) : lo]) == arg for lo, _ in spans):
                         out[v][ci] = 1.0
                 elif cond.kind == "near":
-                    arg = _tokenize(cond.arg)
-                    occ = [
-                        i
-                        for i in range(len(toks) - len(arg) + 1)
-                        if toks[i : i + len(arg)] == arg
-                    ]
+                    occ = token_occurrences(sent, arg)
                     for lo, hi in spans:
-                        for i in occ:
-                            dist = max(0, max(lo - (i + len(arg) - 1), i - hi) - 1)
+                        for s, e in occ:
+                            dist = max(0, max(lo - e, s - hi) - 1)
                             out[v][ci] = max(out[v][ci], 1.0 / (1.0 + dist))
-                elif cond.kind in ("desc_right", "desc_left"):
+                else:  # desc_right / desc_left
+                    if clauses is None:
+                        clauses = decompose.clauses(sent.heads, sent.labels)
                     conf = max(
-                        _descriptor_conf(sent, sp, cond) for sp in spans
+                        _descriptor_conf(sent, clauses, sp, cond) for sp in spans
                     )
                     out[v][ci] += conf  # summed over sentences (§4.4.1)
     return out
@@ -168,49 +153,44 @@ def score_values(
     tokens: DataFrame, candidates: pd.DataFrame, clause: Satisfying
 ) -> pd.DataFrame:
     """Score every (doc_id, value) candidate for one satisfying clause.
-    ``candidates`` columns: doc_id, value. Returns doc_id, value, score."""
+    ``candidates`` columns: doc_id, value. Returns doc_id, value, score.
+
+    Only evidence conditions read the documents: if the clause has any, a
+    per-document UDF over the candidate documents returns their m_i."""
     cand_by_doc: dict[int, list[str]] = {
         int(d): sorted(g["value"].unique())
         for d, g in candidates.groupby("doc_id")
     }
-    conds = list(clause.conds)
-    scan_idx = [i for i, c in enumerate(conds) if c.kind in _SCAN_KINDS]
-    schema = T.StructType(
-        [
-            T.StructField("doc_id", T.LongType()),
-            T.StructField("value", T.StringType()),
-            T.StructField("score", T.DoubleType()),
-        ]
-    )
-
-    def run_doc(pdf: pd.DataFrame) -> pd.DataFrame:
-        doc_id = int(pdf.doc_id.iloc[0])
-        values = cand_by_doc.get(doc_id, [])
-        if not values:
-            return pd.DataFrame(columns=["doc_id", "value", "score"])
-        scan_conds = [conds[i] for i in scan_idx]
-        ev = (
-            _evidence_scores(pdf, values, scan_conds)
-            if scan_conds
-            else {v: [] for v in values}
+    scan = [c for c in clause.conds if c.kind in _SCAN_KINDS]
+    evidence: dict[tuple[int, str], list[float]] = {}
+    if scan and cand_by_doc:
+        schema = T.StructType(
+            [T.StructField("doc_id", T.LongType()), T.StructField("value", T.StringType())]
+            + [T.StructField(f"m{i}", T.DoubleType()) for i in range(len(scan))]
         )
-        rows = []
-        for v in values:
-            score = 0.0
-            k = 0
-            for cond in conds:
-                if cond.kind in _SCAN_KINDS:
-                    m = ev[v][k]
-                    k += 1
-                else:
-                    m = _string_level(cond, v)
-                score += cond.weight * m
-            rows.append({"doc_id": doc_id, "value": v, "score": score})
-        return pd.DataFrame(rows)
 
-    doc_ids = list(cand_by_doc)
-    scoped = tokens.where(F.col("doc_id").isin(doc_ids)) if doc_ids else tokens.limit(0)
-    return scoped.groupBy("doc_id").applyInPandas(run_doc, schema=schema).toPandas()
+        def run_doc(pdf: pd.DataFrame) -> pd.DataFrame:
+            doc_id = int(pdf.doc_id.iloc[0])
+            ev = _evidence_scores(sentences(pdf), cand_by_doc[doc_id], scan)
+            return pd.DataFrame(
+                [[doc_id, v, *ms] for v, ms in ev.items()], columns=schema.names
+            )
+
+        scoped = tokens.where(F.col("doc_id").isin(list(cand_by_doc)))
+        ev_pdf = scoped.groupBy("doc_id").applyInPandas(run_doc, schema=schema).toPandas()
+        evidence = {(d, v): ms for d, v, *ms in ev_pdf.itertuples(index=False)}
+    rows = []
+    for doc_id, values in cand_by_doc.items():
+        for v in values:
+            ms = iter(evidence.get((doc_id, v), [0.0] * len(scan)))
+            score = sum(
+                c.weight * (next(ms) if c.kind in _SCAN_KINDS else _string_level(c, v))
+                for c in clause.conds
+            )
+            rows.append((doc_id, v, score))
+    return pd.DataFrame(rows, columns=["doc_id", "value", "score"]).astype(
+        {"doc_id": "int64", "score": "float64"}
+    )
 
 
 def excluded(value: str, conds: list[SatCond]) -> bool:

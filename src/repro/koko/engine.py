@@ -17,6 +17,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from ..corpus import generator
 from ..indexing.koko_index import KokoIndex
 from . import aggregate, dpli, evaluate, normalize
 from .ast import Query
@@ -27,7 +28,6 @@ class RunResult:
     results: pd.DataFrame           # final output tuples (doc_id + outputs)
     timings: dict[str, float] = field(default_factory=dict)
     n_candidate_sentences: int = 0
-    n_extraction_rows: int = 0
 
     @property
     def total(self) -> float:
@@ -61,9 +61,8 @@ def run(
     # sentences (the paper loads them from the DBMS into memory).
     t0 = perf_counter()
     if cand is not None:
-        cand_docs = (
-            cand.select((F.col("x") / 1000).cast("long").alias("doc_id")).distinct()
-        )
+        doc_id = (F.col("x") / generator.SENTS_PER_DOC).cast("long").alias("doc_id")
+        cand_docs = cand.select(doc_id).distinct()
         articles = tokens.join(cand_docs, "doc_id", "left_semi").cache()
     else:
         articles = tokens.cache()
@@ -92,7 +91,6 @@ def run(
     results = aggregate.apply_clauses(articles, extraction_rows, nq)
     timings["satisfying"] = perf_counter() - t0
 
-    n_rows = int(len(results))
     ext.unpersist()
     articles.unpersist()
     if cand is not None:
@@ -101,5 +99,4 @@ def run(
         results=results,
         timings=timings,
         n_candidate_sentences=n_cand,
-        n_extraction_rows=n_rows,
     )

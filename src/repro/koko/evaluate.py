@@ -13,8 +13,10 @@ Two modes reproduce Table 1:
 
 Sentence-level evaluation is pure Python/NumPy (sentences are tiny and
 already pruned by DPLI); the corpus-level driver wraps it in
-``applyInPandas`` grouped by sentence. A span ``(s, e)`` is inclusive;
-empty spans are ``(s, s-1)``.
+``applyInPandas`` grouped by document, and ``sentences`` builds each
+document's ``Sentence`` objects in one pass — the one sentence
+representation that aggregation and the baselines also use. A span
+``(s, e)`` is inclusive; empty spans are ``(s, s-1)``.
 """
 from __future__ import annotations
 
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 from itertools import product
 from time import perf_counter
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from ..indexing import pathmatch
@@ -61,24 +63,41 @@ class Sentence:
 
     @staticmethod
     def from_pandas(pdf: pd.DataFrame) -> "Sentence":
-        pdf = pdf.sort_values("tid")
-        ents = []
-        sub = pdf[pdf.etype.notna() & (pdf.tid == pdf.ent_lo)]
-        for _, r in sub.iterrows():
-            ents.append((int(r.ent_lo), int(r.ent_hi), r.etype, r.ent_text))
-        return Sentence(
-            doc_id=int(pdf.doc_id.iloc[0]),
-            sid=int(pdf.sid.iloc[0]),
-            tokens=list(pdf["token"]),
-            pos=list(pdf["pos"]),
-            labels=list(pdf["label"]),
-            heads=list(pdf["head"]),
-            depths=list(pdf["depth"]),
-            sub_lo=list(pdf["sub_lo"]),
-            sub_hi=list(pdf["sub_hi"]),
-            triple=list(pdf["triple_path"]),
-            entities=ents,
-        )
+        """The one sentence held by ``pdf``'s token rows (see ``sentences``)."""
+        sents = sentences(pdf)
+        if len(sents) != 1:
+            raise ValueError(f"expected the rows of one sentence, got {len(sents)}")
+        return sents[0]
+
+
+def sentences(pdf: pd.DataFrame) -> list[Sentence]:
+    """Every sentence in a frame of token rows, in (doc_id, sid) order with
+    tokens in tid order: one sort, then slices at each sid boundary.
+    Entities come from the rows where ``tid == ent_lo``."""
+    order = np.lexsort((pdf["tid"], pdf["sid"], pdf["doc_id"]))
+
+    def col(c: str) -> np.ndarray:
+        return pdf[c].to_numpy()[order]
+
+    sid, doc_id = col("sid"), col("doc_id")
+    starts = np.flatnonzero(np.diff(sid, prepend=sid[:1] - 1))
+    ends = np.append(starts[1:], len(sid))
+    # in the order of Sentence's fields, tokens to triple
+    cols = [
+        col(c).tolist()
+        for c in ("token", "pos", "label", "head", "depth", "sub_lo", "sub_hi", "triple_path")
+    ]
+    etype, ent_lo = col("etype"), col("ent_lo")
+    at_ent = np.flatnonzero(pd.notna(etype) & (col("tid") == ent_lo))
+    ents = list(zip(
+        ent_lo[at_ent].astype(int).tolist(), col("ent_hi")[at_ent].astype(int).tolist(),
+        etype[at_ent].tolist(), col("ent_text")[at_ent].tolist(),
+    ))
+    ent_starts, ent_ends = np.searchsorted(at_ent, starts), np.searchsorted(at_ent, ends)
+    return [
+        Sentence(int(doc_id[a]), int(sid[a]), *(c[a:b] for c in cols), ents[ea:eb])
+        for a, b, ea, eb in zip(starts, ends, ent_starts, ent_ends)
+    ]
 
 
 def _in_entity(sent: Sentence, tid: int, etype: str) -> bool:
@@ -110,7 +129,7 @@ def _entity_spans(sent: Sentence, etype: str) -> list[Span]:
     ]
 
 
-def _token_occurrences(sent: Sentence, words: tuple[str, ...]) -> list[Span]:
+def token_occurrences(sent: Sentence, words: tuple[str, ...]) -> list[Span]:
     n = len(words)
     return [
         (i, i + n - 1)
@@ -168,7 +187,7 @@ class SentenceEvaluator:
                 ((s.sub_lo[i], s.sub_hi[i]), {v: (i, i)}) for i in self.nb[v]
             ]
         if atom.kind == "tokens":
-            return [(sp, {}) for sp in _token_occurrences(s, atom.tokens)]
+            return [(sp, {}) for sp in token_occurrences(s, atom.tokens)]
         if atom.kind == "elastic":
             if atom.etype is not None:  # ^[etype=…] binds an entity span
                 return [
@@ -447,8 +466,8 @@ def evaluate_corpus(
     use_gsp: bool = True,
     timing: bool = False,
 ) -> DataFrame:
-    """Distributed extract-clause evaluation: per-sentence evaluation via
-    ``applyInPandas`` over DPLI's candidate sentences.
+    """Distributed extract-clause evaluation: per-sentence evaluation of
+    DPLI's candidate sentences via ``applyInPandas`` grouped by document.
 
     With ``timing=True``, each sentence additionally emits one row with
     null variables carrying ``gsp_s`` / ``eval_s`` — summed by the engine
@@ -472,8 +491,7 @@ def evaluate_corpus(
 
     def eval_group(pdf: pd.DataFrame) -> pd.DataFrame:
         out: list[dict] = []
-        for _, g in pdf.groupby("sid"):
-            sent = Sentence.from_pandas(g)
+        for sent in sentences(pdf):
             if timing:
                 rows, gsp_s, eval_s = eval_sentence_timed(sent, nq, use_gsp=use_gsp)
                 out.extend(rows)
@@ -484,6 +502,6 @@ def evaluate_corpus(
                 out.extend(eval_sentence(sent, nq, use_gsp=use_gsp))
         return pd.DataFrame(out, columns=cols)
 
-    # Group by doc (keeps sentences of a doc together; sentence grouping
-    # happens inside the UDF to bound the number of Spark groups).
+    # One group per document: the UDF builds all of a document's sentences
+    # in one pass, and the number of Spark groups stays bounded.
     return tokens.groupBy("doc_id").applyInPandas(eval_group, schema=schema)

@@ -6,7 +6,7 @@ from pyspark.sql import functions as F
 
 from repro.corpus import generator
 from repro.indexing import koko_index
-from repro.koko import engine, evaluate, normalize, queries
+from repro.koko import aggregate, engine, evaluate, normalize, queries
 
 
 @pytest.fixture(scope="module")
@@ -25,12 +25,15 @@ class TestChocolate:
         assert vals, "chocolate template should appear in 120 docs"
         assert all(v.endswith("chocolate") for v in vals)
 
-    def test_matches_unpruned_run(self, wiki):
+
+class TestUnpruned:
+    @pytest.mark.parametrize("name", ["chocolate", "title", "date_of_birth"])
+    def test_matches_unpruned_run(self, wiki, name):
+        """Index-pruned results equal index-free evaluation of every sentence."""
         tokens, index = wiki
-        q = queries.chocolate()
+        q = getattr(queries, name)()
         pruned = engine.run(tokens, index, q).results
         nq = normalize.normalize(q)
-        from repro.koko import aggregate
         full = aggregate.apply_clauses(
             tokens, evaluate.evaluate_corpus(tokens, nq), nq
         )

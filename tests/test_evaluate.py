@@ -28,6 +28,24 @@ def ex31():
     return sent_of(fixtures.EX31, 0, 1)
 
 
+class TestSentences:
+    def test_shuffled_rows(self, fig1, ex31):
+        pdf = fixtures.paper_rows().sample(frac=1.0, random_state=0)
+        assert not pdf.tid.is_monotonic_increasing
+        sents = evaluate.sentences(pdf)
+        assert [s.sid for s in sents] == [0, 1]
+        assert [s.tokens for s in sents] == [
+            [t.word for t in fixtures.FIG1.tokens],
+            [t.word for t in fixtures.EX31.tokens],
+        ]
+        assert [s.entities for s in sents] == [fig1.entities, ex31.entities]
+        assert sents == [fig1, ex31]
+
+    def test_from_pandas_rejects_two_sentences(self):
+        with pytest.raises(ValueError, match="one sentence"):
+            evaluate.Sentence.from_pandas(fixtures.paper_rows())
+
+
 class TestNodeBindings:
     def test_example_21_bindings_fig1(self, fig1):
         nq = normalize.normalize(queries.example_21())

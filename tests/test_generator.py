@@ -32,6 +32,17 @@ class TestTemplates:
         assert rows[root]["sub_hi"] == len(rows) - 1
         assert all(r["pl_path"].startswith("/root") for r in rows)
 
+    def test_sentence_index_overflow_rejected(self):
+        import numpy as np
+        tpl = templates.WIKI_MIXTURE[0][0]
+        last = generator.SENTS_PER_DOC - 1
+        rows = generator.resolve_template(tpl, np.random.default_rng(0), 7, last)
+        assert rows[0]["sid"] == 8 * generator.SENTS_PER_DOC - 1
+        with pytest.raises(ValueError, match="SENTS_PER_DOC"):
+            generator.resolve_template(
+                tpl, np.random.default_rng(0), 7, generator.SENTS_PER_DOC
+            )
+
     def test_mixture_sums_to_one(self):
         assert sum(p for _, p in templates.WIKI_MIXTURE) == pytest.approx(1.0)
 
